@@ -5,9 +5,11 @@
 //   * E_x[a_r(x)^m] <= (4m)^{2mr} (q/sqrt(n/2))^{2mr or 2r} depending on
 //     whether q is above or below sqrt(n/2).
 //
-// The bench computes exact counts/moments (full enumeration where it fits,
-// Monte-Carlo beyond) and tabulates exact vs bound; the slack column shows
-// how conservative the paper's bounds are.
+// The bench computes exact counts/moments (closed forms: a DP for |X_S|, a
+// sum over integer partitions of q for the moments, kept to cells of at
+// most 2^22 tuples; Monte-Carlo beyond) and tabulates exact vs bound; the
+// slack column shows how conservative the paper's bounds are. The exact
+// rows take microseconds, so nearly all the run time is Monte-Carlo.
 #include <cmath>
 #include <iostream>
 

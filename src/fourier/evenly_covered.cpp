@@ -192,26 +192,107 @@ std::uint64_t a_r(std::span<const std::uint64_t> x, unsigned r) {
   return count;
 }
 
+namespace {
+// Sum of a_r(x)^m over every x in [side]^q, grouped by the block sizes of
+// x's equal-value partition. An index set is evenly covered iff it takes an
+// even number of indices from every block, so a_r(x) depends on x only
+// through those sizes: with blocks lambda_1..lambda_k it is
+// c_r = [t^{2r}] prod_b sum_j C(lambda_b, 2j) t^{2j}, and exactly
+// #set-partitions(lambda) * side * (side-1) * ... * (side-k+1) tuples share
+// it. Parts are generated in non-increasing order, so each integer
+// partition of q is visited once, with at most min(q, side) parts.
+// Requires 2r <= q <= 63.
+class PartitionMomentSum {
+ public:
+  PartitionMomentSum(std::uint64_t side, unsigned q, unsigned r, unsigned m)
+      : side_(side),
+        r_(r),
+        m_(m),
+        max_parts_(static_cast<unsigned>(std::min<std::uint64_t>(q, side))) {
+    even_[0][0] = 1;
+    extend(q, q, 0, 0, 1);
+  }
+
+  // The sum, exact (one rounding to double) unless some term or partial
+  // sum overflowed 128 bits; then the per-partition terms summed in double.
+  [[nodiscard]] double sum() const {
+    return overflow_ ? approx_ : static_cast<double>(exact_);
+  }
+
+ private:
+  static constexpr unsigned kMaxQ = 63;
+
+  // Adds blocks of size <= `largest` covering the `rem` indices not yet
+  // placed; `run` blocks of size `largest` are already placed. `weight`
+  // counts the tuples realizing the `depth` blocks placed so far: the ways
+  // to choose them as unordered index sets, times the falling factorial of
+  // side. The 2^26-tuple guard keeps q <= 26 once side >= 2 (side = 1
+  // admits only the single block), so it stays below 26! * 2^26 < 2^128.
+  void extend(unsigned rem, unsigned largest, unsigned run, unsigned depth,
+              __uint128_t weight) {
+    if (rem == 0) {
+      add(weight, even_[depth][r_]);
+      return;
+    }
+    const unsigned parts_left = max_parts_ - depth;
+    for (unsigned s = std::min(rem, largest); s >= 1 && s * parts_left >= rem;
+         --s) {
+      // Among equal-size blocks only the unordered choice counts: dividing
+      // the ordered product by the run length keeps it an exact integer.
+      const unsigned same = s == largest ? run + 1 : 1;
+      const __uint128_t next =
+          weight * binomial(static_cast<int>(rem), static_cast<int>(s)) /
+          same * (side_ - depth);
+      const std::uint64_t* prev = even_[depth];
+      std::uint64_t* cur = even_[depth + 1];
+      for (unsigned j = 0; j <= r_; ++j) {
+        // Each coefficient counts index sets, so it is at most C(63, 2j).
+        std::uint64_t c = 0;
+        for (unsigned i = 0; i <= j && 2 * i <= s; ++i) {
+          c += prev[j - i] *
+               binomial(static_cast<int>(s), static_cast<int>(2 * i));
+        }
+        cur[j] = c;
+      }
+      extend(rem - s, s, same, depth + 1, next);
+    }
+  }
+
+  void add(__uint128_t weight, std::uint64_t c) {
+    approx_ += static_cast<double>(weight) *
+               dpow_int(static_cast<double>(c), m_);
+    if (overflow_ || c == 0) return;
+    __uint128_t term = weight;
+    for (unsigned i = 0; i < m_ && !overflow_; ++i) {
+      overflow_ = __builtin_mul_overflow(term, c, &term);
+    }
+    if (!overflow_) overflow_ = __builtin_add_overflow(exact_, term, &exact_);
+  }
+
+  std::uint64_t side_;
+  unsigned r_;
+  unsigned m_;
+  unsigned max_parts_;
+  // even_[d][j]: [t^{2j}] of the generating product over the first d blocks,
+  // i.e. the number of evenly covered 2j-subsets of their indices (j <= r).
+  std::uint64_t even_[kMaxQ + 1][kMaxQ / 2 + 1] = {};
+  __uint128_t exact_ = 0;
+  bool overflow_ = false;
+  double approx_ = 0.0;
+};
+}  // namespace
+
 double a_r_moment_exact(unsigned ell, unsigned q, unsigned r, unsigned m) {
   require(m >= 1, "a_r_moment_exact: m must be >= 1");
   const std::uint64_t side = 1ULL << ell;
   const double total_tuples = std::pow(static_cast<double>(side),
                                        static_cast<double>(q));
   if (total_tuples > static_cast<double>(1ULL << 26)) {
-    throw CapacityError("a_r_moment_exact: enumeration too large");
+    throw CapacityError("a_r_moment_exact: more than 2^26 tuples");
   }
-  const auto total = static_cast<std::uint64_t>(total_tuples);
-  std::vector<std::uint64_t> x(q);
-  double acc = 0.0;
-  for (std::uint64_t idx = 0; idx < total; ++idx) {
-    std::uint64_t rest = idx;
-    for (unsigned j = 0; j < q; ++j) {
-      x[j] = rest % side;
-      rest /= side;
-    }
-    acc += dpow_int(static_cast<double>(a_r(x, r)), m);
-  }
-  return acc / total_tuples;
+  require(q <= 63, "a_r_moment_exact: at most 63 samples");
+  if (2 * r > q) return 0.0;
+  return PartitionMomentSum(side, q, r, m).sum() / total_tuples;
 }
 
 double a_r_moment_mc(unsigned ell, unsigned q, unsigned r, unsigned m,

@@ -56,8 +56,12 @@ namespace duti {
 /// a_r(x): number of S with |S| = 2r such that x_S is evenly covered.
 [[nodiscard]] std::uint64_t a_r(std::span<const std::uint64_t> x, unsigned r);
 
-/// Exact m-th moment E_x[a_r(x)^m] over uniform tuples x in (2^ell)^q,
-/// by full enumeration. Throws CapacityError beyond 2^26 tuples.
+/// Exact m-th moment E_x[a_r(x)^m] over uniform tuples x in (2^ell)^q.
+/// a_r(x) depends only on the block sizes of x's equal-value partition, so
+/// the sum over tuples is a sum over integer partitions of q, with no
+/// enumeration. The sum is an exact 128-bit integer, rounded to double
+/// once; past 2^128 its per-partition terms are summed in double instead.
+/// Still throws CapacityError beyond 2^26 tuples; requires m >= 1, q <= 63.
 [[nodiscard]] double a_r_moment_exact(unsigned ell, unsigned q, unsigned r,
                                       unsigned m);
 

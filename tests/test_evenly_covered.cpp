@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -243,6 +244,67 @@ TEST(ArMoments, FirstMomentMatchesCombinatorialIdentity) {
   }
 }
 
+// The tuple-enumeration moment that a_r_moment_exact replaced, kept as the
+// oracle: it sums a_r(x)^m in double over all (2^ell)^q tuples.
+double moment_by_enumeration(unsigned ell, unsigned q, unsigned r,
+                             unsigned m) {
+  require(m >= 1, "a_r_moment_exact: m must be >= 1");
+  const std::uint64_t side = 1ULL << ell;
+  const double total_tuples = std::pow(static_cast<double>(side),
+                                       static_cast<double>(q));
+  if (total_tuples > static_cast<double>(1ULL << 26)) {
+    throw CapacityError("a_r_moment_exact: enumeration too large");
+  }
+  const auto total = static_cast<std::uint64_t>(total_tuples);
+  std::vector<std::uint64_t> x(q);
+  double acc = 0.0;
+  for (std::uint64_t idx = 0; idx < total; ++idx) {
+    std::uint64_t rest = idx;
+    for (unsigned j = 0; j < q; ++j) {
+      x[j] = rest % side;
+      rest /= side;
+    }
+    acc += dpow_int(static_cast<double>(a_r(x, r)), m);
+  }
+  return acc / total_tuples;
+}
+
+void expect_bit_equal(unsigned ell, unsigned q, unsigned r, unsigned m) {
+  const double closed = a_r_moment_exact(ell, q, r, m);
+  const double oracle = moment_by_enumeration(ell, q, r, m);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(closed),
+            std::bit_cast<std::uint64_t>(oracle))
+      << "ell=" << ell << " q=" << q << " r=" << r << " m=" << m
+      << ": closed form " << closed << " vs enumeration " << oracle;
+}
+
+TEST(ArMoments, ClosedFormMatchesEnumeration) {
+  // Every sum here stays below 2^53, so the enumerator's double
+  // accumulation is exact and the partition sum must reproduce its bits,
+  // including the r = 0 (moment 1) and 2r > q (moment 0) edges. The
+  // enumerator is capped at 2^18 tuples per cell (l=3 stops at q=6):
+  // l=3, q in {7,8} would take it about four minutes.
+  for (unsigned ell = 0; ell <= 3; ++ell) {
+    for (unsigned q = 1; q <= 8 && ell * q <= 18; ++q) {
+      for (unsigned r = 0; r <= q / 2 + 1; ++r) {
+        for (unsigned m = 1; m <= 3; ++m) expect_bit_equal(ell, q, r, m);
+      }
+    }
+  }
+  // The l=2, q=10, r=1 rows that the exact_moments benchmark pins.
+  for (unsigned m = 1; m <= 3; ++m) expect_bit_equal(2, 10, 1, m);
+}
+
+TEST(ArMoments, OverflowFallsBackToDouble) {
+  // At l=1, q=12, r=3 the all-equal tuples have a_3 = C(12,6) = 924, and
+  // 924^14 > 2^128: the 128-bit sum overflows and the partition terms are
+  // summed in double instead, agreeing with the enumerator to rounding.
+  const double closed = a_r_moment_exact(1, 12, 3, 14);
+  const double oracle = moment_by_enumeration(1, 12, 3, 14);
+  EXPECT_GT(closed, std::ldexp(1.0, 128) / std::ldexp(1.0, 12));
+  EXPECT_NEAR(closed / oracle, 1.0, 1e-12);
+}
+
 TEST(ArMoments, McConvergesToExact) {
   Rng rng(42);
   const unsigned ell = 2, q = 4, r = 1, m = 2;
@@ -269,6 +331,23 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(2u, 4u, 6u),   // q
                        ::testing::Values(1u, 2u),       // r
                        ::testing::Values(1u, 2u, 3u))); // m
+
+// Cells past the sweep above, up to e7's largest exact ones: 2^16 to 2^24
+// tuples each, which the partition sum handles in microseconds.
+std::vector<std::tuple<unsigned, unsigned, unsigned, unsigned>>
+e7_exact_cells() {
+  std::vector<std::tuple<unsigned, unsigned, unsigned, unsigned>> cells;
+  for (const auto& [ell, q] : {std::pair{2u, 8u}, std::pair{2u, 10u},
+                               std::pair{3u, 8u}, std::pair{5u, 4u}}) {
+    for (unsigned r : {1u, 2u}) {
+      for (unsigned m : {1u, 2u, 3u}) cells.emplace_back(ell, q, r, m);
+    }
+  }
+  return cells;
+}
+
+INSTANTIATE_TEST_SUITE_P(E7ExactCells, Lemma55Test,
+                         ::testing::ValuesIn(e7_exact_cells()));
 
 TEST(Lemma55, CapacityGuard) {
   EXPECT_THROW((void)a_r_moment_exact(10, 10, 1, 1), CapacityError);
