@@ -1,5 +1,6 @@
 // Memoized referee calibration (DESIGN.md §14). The distributed testers
-// that calibrate empirically (threshold, multibit, asymmetric) burn
+// that calibrate empirically (threshold, robust threshold — which shares
+// the threshold tester's entries — multibit, asymmetric) burn
 // thousands of protocol trials in their CONSTRUCTORS — and sweeps, dual
 // adaptive/full probes, and warm-start reruns rebuild the same tester for
 // the same (n, k, q, eps, calib_trials, seed) many times over. The memo

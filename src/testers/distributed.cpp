@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
+#include <string>
 
 #include "testers/calibration.hpp"
 #include "testers/collision.hpp"
@@ -47,30 +47,30 @@ SimultaneousProtocol::PlayerFactory make_collision_voters(
   };
 }
 
-DistributedThresholdTester::DistributedThresholdTester(
-    DistributedTesterConfig cfg, Rng& calib_rng, std::size_t calib_trials)
-    : cfg_(cfg) {
-  check_config(cfg_);
+CollisionCalibration calibrate_collision_threshold(
+    const DistributedTesterConfig& cfg, Rng& calib_rng,
+    std::size_t calib_trials) {
+  CollisionCalibration c;
   // Local rule: reject iff the collision count exceeds its uniform mean.
-  local_t_ = expected_collision_pairs_uniform(static_cast<double>(cfg_.n),
-                                              cfg_.q);
+  c.local_t =
+      expected_collision_pairs_uniform(static_cast<double>(cfg.n), cfg.q);
 
   // Calibrate p_u = P(player rejects | uniform) by simulating independent
   // players; the referee threshold must dominate binomial noise over k
   // players, so use at least ~30k trials.
   if (calib_trials == 0) {
-    calib_trials = std::max<std::size_t>(4000, 30ULL * cfg_.k);
+    calib_trials = std::max<std::size_t>(4000, 30ULL * cfg.k);
   }
   // Memo key: the RESOLVED trial count (so auto and explicit constructions
   // cannot alias) plus the calibration stream's entry state. k is omitted
   // on purpose — p_u is a single-player statistic, so testers differing
   // only in k (same resolved trials) legitimately share a calibration.
-  std::ostringstream id;
-  id << "thr|n=" << cfg_.n << "|q=" << cfg_.q << "|eps="
-     << calib_pack_double(cfg_.eps) << "|t=" << calib_trials << "|rng="
-     << calib_rng_tag(calib_rng);
+  const std::string id =
+      "thr|n=" + std::to_string(cfg.n) + "|q=" + std::to_string(cfg.q) +
+      "|eps=" + std::to_string(calib_pack_double(cfg.eps)) +
+      "|t=" + std::to_string(calib_trials) + "|rng=" + calib_rng_tag(calib_rng);
   std::uint64_t reject_count = 0;
-  if (auto payload = CalibMemo::global().lookup(id.str());
+  if (auto payload = CalibMemo::global().lookup(id);
       payload && payload->size() == 6) {
     reject_count = (*payload)[0];
     // Restore the stream's exit state: the caller's RNG advances exactly
@@ -78,31 +78,42 @@ DistributedThresholdTester::DistributedThresholdTester(
     calib_rng.set_state(
         Rng::State{(*payload)[2], (*payload)[3], (*payload)[4], (*payload)[5]});
   } else {
-    const UniformSource uniform(cfg_.n);
+    const UniformSource uniform(cfg.n);
     std::vector<std::uint64_t> samples;
     for (std::size_t t = 0; t < calib_trials; ++t) {
-      uniform.sample_many(calib_rng, cfg_.q, samples);
+      uniform.sample_many(calib_rng, cfg.q, samples);
       // tallied_collision_pairs == collision_pairs on every input; the
       // tally plane just skips the per-trial sort.
-      if (static_cast<double>(tallied_collision_pairs(samples, cfg_.n)) >
-          local_t_) {
+      if (static_cast<double>(tallied_collision_pairs(samples, cfg.n)) >
+          c.local_t) {
         ++reject_count;
       }
     }
     const Rng::State end = calib_rng.state();
     CalibMemo::global().insert(
-        id.str(),
-        {reject_count, calib_trials, end[0], end[1], end[2], end[3]});
+        id, {reject_count, calib_trials, end[0], end[1], end[2], end[3]});
   }
-  p_u_ = static_cast<double>(reject_count) / static_cast<double>(calib_trials);
+  c.p_u = static_cast<double>(reject_count) / static_cast<double>(calib_trials);
 
   // Referee: reject iff #rejecting players >= T, with T one standard
   // deviation above the uniform mean (uniform-side error ~ 16% < 1/3).
-  const double kd = static_cast<double>(cfg_.k);
-  const double mean_u = kd * p_u_;
-  const double sd_u = std::sqrt(std::max(1e-12, kd * p_u_ * (1.0 - p_u_)));
-  referee_t_ = static_cast<std::uint64_t>(
+  const double kd = static_cast<double>(cfg.k);
+  const double mean_u = kd * c.p_u;
+  const double sd_u = std::sqrt(std::max(1e-12, kd * c.p_u * (1.0 - c.p_u)));
+  c.referee_t = static_cast<std::uint64_t>(
       std::max(1.0, std::ceil(mean_u + sd_u + 1e-9)));
+  return c;
+}
+
+DistributedThresholdTester::DistributedThresholdTester(
+    DistributedTesterConfig cfg, Rng& calib_rng, std::size_t calib_trials)
+    : cfg_(cfg) {
+  check_config(cfg_);
+  const CollisionCalibration c =
+      calibrate_collision_threshold(cfg_, calib_rng, calib_trials);
+  local_t_ = c.local_t;
+  p_u_ = c.p_u;
+  referee_t_ = c.referee_t;
 
   exec_.emplace(cfg_.k, cfg_.q, collision_vote(local_t_), 1U, cfg_.kernel);
   rule_.emplace(DecisionRule::threshold(referee_t_));

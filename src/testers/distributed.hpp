@@ -51,6 +51,23 @@ struct DistributedTesterConfig {
   SamplingKernel kernel = SamplingKernel::kPerSample;
 };
 
+/// The threshold tester's calibration: the local collision threshold (the
+/// uniform mean C(q,2)/n), the per-player rejection probability under
+/// uniform, and the referee threshold one standard deviation above k p_u.
+struct CollisionCalibration {
+  double local_t = 0.0;
+  double p_u = 0.0;
+  std::uint64_t referee_t = 1;
+};
+
+/// Calibrates by simulating `calib_trials` (0 = auto: max(4000, 30k))
+/// single uniform players, memoized through CalibMemo. Shared by
+/// DistributedThresholdTester and RobustThresholdTester, which therefore
+/// reuse each other's memo entries. Does not validate `cfg`.
+[[nodiscard]] CollisionCalibration calibrate_collision_threshold(
+    const DistributedTesterConfig& cfg, Rng& calib_rng,
+    std::size_t calib_trials);
+
 /// Shared implementation detail: a player that votes "reject" iff its local
 /// pair-collision count strictly exceeds `local_threshold`.
 [[nodiscard]] SimultaneousProtocol::PlayerFactory make_collision_voters(

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
-#include "testers/collision.hpp"
-#include "util/confidence.hpp"
+#include "sim/protocol_batch.hpp"
 #include "util/error.hpp"
 
 namespace duti {
@@ -56,8 +56,10 @@ RefereeOutcome MedianOfGroupsRule::decide(
   // only needs that floor(delta*k) bits touch at most that many groups.
   const std::size_t base = bits.size() / g;
   std::size_t extra = bits.size() % g;
-  std::vector<double> means;
-  means.reserve(g);
+  // Per-thread buffer: the referee runs once per trial, so its group
+  // means must not cost a heap allocation each time.
+  static thread_local std::vector<double> means;
+  means.clear();
   std::size_t pos = 0;
   for (unsigned i = 0; i < g; ++i) {
     const std::size_t len = base + (extra > 0 ? 1 : 0);
@@ -110,32 +112,36 @@ RobustThresholdTester::RobustThresholdTester(DistributedTesterConfig cfg,
   require(cfg_.q >= 2, "RobustThresholdTester: q must be >= 2");
   require(cfg_.eps > 0.0 && cfg_.eps <= 1.0,
           "RobustThresholdTester: eps in (0,1]");
+  require(cfg_.kernel == SamplingKernel::kPerSample,
+          "RobustThresholdTester: only the per-sample kernel is supported");
   require(plan_.crash_fraction >= 0.0 && plan_.crash_fraction <= 1.0 &&
               plan_.byzantine_fraction >= 0.0 &&
               plan_.byzantine_fraction <= 1.0 &&
               plan_.crash_fraction + plan_.byzantine_fraction <= 1.0,
           "RobustThresholdTester: fault fractions in [0,1], sum <= 1");
 
-  // Identical calibration to DistributedThresholdTester, so rule
+  // DistributedThresholdTester's calibration (and memo entries), so rule
   // comparisons isolate the referee side.
-  local_t_ = expected_collision_pairs_uniform(static_cast<double>(cfg_.n),
-                                              cfg_.q);
-  if (calib_trials == 0) {
-    calib_trials = std::max<std::size_t>(4000, 30ULL * cfg_.k);
-  }
-  const UniformSource uniform(cfg_.n);
-  std::vector<std::uint64_t> samples;
-  SuccessCounter rejects;
-  for (std::size_t t = 0; t < calib_trials; ++t) {
-    uniform.sample_many(calib_rng, cfg_.q, samples);
-    rejects.record(static_cast<double>(collision_pairs(samples)) > local_t_);
-  }
-  p_u_ = rejects.rate();
-  const double kd = static_cast<double>(cfg_.k);
-  const double sd_u = std::sqrt(std::max(1e-12, kd * p_u_ * (1.0 - p_u_)));
-  naive_t_ = static_cast<std::uint64_t>(
-      std::max(1.0, std::ceil(kd * p_u_ + sd_u + 1e-9)));
+  const CollisionCalibration c =
+      calibrate_collision_threshold(cfg_, calib_rng, calib_trials);
+  local_t_ = c.local_t;
+  p_u_ = c.p_u;
+  naive_t_ = c.referee_t;
 }
+
+namespace {
+
+// Per-worker trial buffers, grown once and reused by every outcome() call
+// on the thread, so steady-state trials allocate nothing.
+struct OutcomeScratch {
+  std::vector<unsigned> order;
+  std::vector<std::uint8_t> role;  // 0 honest, 1 byzantine, 2 crashed
+  std::vector<std::uint8_t> bits;  // arrival order = player order
+  std::vector<std::uint64_t> samples;
+};
+thread_local OutcomeScratch tls_outcome;
+
+}  // namespace
 
 RefereeOutcome RobustThresholdTester::outcome(const SampleSource& source,
                                               Rng& rng) const {
@@ -146,22 +152,21 @@ RefereeOutcome RobustThresholdTester::outcome(const SampleSource& source,
       std::floor(plan_.byzantine_fraction * static_cast<double>(k)));
   const auto n_crash = static_cast<unsigned>(
       std::floor(plan_.crash_fraction * static_cast<double>(k)));
+  auto& [order, role, bits, samples] = tls_outcome;
 
   // Fresh fault placement per execution: partial Fisher-Yates draws the
   // Byzantine set then the crashed set.
-  std::vector<unsigned> order(k);
-  for (unsigned j = 0; j < k; ++j) order[j] = j;
+  order.resize(k);
+  std::iota(order.begin(), order.end(), 0U);
   for (unsigned j = 0; j < n_byz + n_crash && j + 1 < k; ++j) {
     const auto pick = j + static_cast<unsigned>(rng.next_below(k - j));
     std::swap(order[j], order[pick]);
   }
-  std::vector<std::uint8_t> role(k, 0);  // 0 honest, 1 byzantine, 2 crashed
+  role.assign(k, 0);
   for (unsigned j = 0; j < n_byz; ++j) role[order[j]] = 1;
   for (unsigned j = n_byz; j < n_byz + n_crash; ++j) role[order[j]] = 2;
 
-  std::vector<std::uint8_t> bits;  // arrival order = player order
-  bits.reserve(k);
-  std::vector<std::uint64_t> samples;
+  bits.clear();
   for (unsigned j = 0; j < k; ++j) {
     if (role[j] == 2) continue;  // crashed: nothing arrives
     Rng player_rng = make_rng(rng(), j);
@@ -171,7 +176,9 @@ RefereeOutcome RobustThresholdTester::outcome(const SampleSource& source,
         plan_.byzantine_mode == ByzantineMode::kAdversarialFlip;
     if (need_honest_vote) {
       source.sample_many(player_rng, cfg_.q, samples);
-      bit = static_cast<double>(collision_pairs(samples)) > local_t_ ? 1 : 0;
+      // Same integer as collision_pairs(), counted on the tally plane.
+      const std::uint64_t pairs = tallied_collision_pairs(samples, cfg_.n);
+      bit = static_cast<double>(pairs) > local_t_ ? 1 : 0;
     }
     if (role[j] == 1) {
       switch (plan_.byzantine_mode) {

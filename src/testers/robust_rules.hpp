@@ -115,8 +115,13 @@ struct FaultPlan {
 
 /// The distributed threshold tester of [7] run under a fault plan, with a
 /// selectable referee rule. Calibration (local collision threshold, p_u)
-/// matches DistributedThresholdTester exactly, so naive-vs-robust
-/// comparisons isolate the referee rule.
+/// shares DistributedThresholdTester's memoized calibration
+/// (calibrate_collision_threshold), so naive-vs-robust comparisons isolate
+/// the referee rule and rebuilding a tester for another fault plan or rule
+/// at the same (n, q, eps, calibration seed) is a memo hit. Players vote on
+/// the tally plane's pair count and outcome() reuses per-thread buffers, so
+/// steady-state executions allocate nothing. Only the per-sample kernel is
+/// supported; a kCounts config is rejected at construction.
 class RobustThresholdTester {
  public:
   enum class Rule { kNaive, kQuorum, kMedianOfGroups, kTrimmed };
