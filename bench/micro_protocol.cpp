@@ -116,7 +116,7 @@ PlaneRow measure_plane(TrialFn&& trial, std::size_t trials, int reps,
     const auto t0 = std::chrono::steady_clock::now();
     std::uint64_t accepts = 0;
     for (std::size_t t = 0; t < trials; ++t) {
-      accepts += trial(rng) ? 1 : 0;
+      accepts += trial(rng) ? 1U : 0U;
     }
     const double secs = seconds_since(t0);
     const std::uint64_t allocs1 = g_allocs.load(std::memory_order_relaxed);

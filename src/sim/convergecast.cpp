@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 
-
 namespace duti {
 
 std::vector<NodeId> SpanningTree::children(NodeId node) const {
@@ -45,6 +44,36 @@ SpanningTree bfs_spanning_tree(const Network& net, NodeId root) {
   return tree;
 }
 
+namespace {
+
+/// convergecast_sum's per-node state. The behaviours capture one pointer to
+/// it (and their node id), so each closure fits in std::function's small
+/// buffer.
+struct TreeSum {
+  void step(NodeId v, RoundContext& ctx) {
+    for (const auto& m : ctx.inbox()) {
+      partial[v] += m.payload.at(0);
+      --pending[v];
+    }
+    if (pending[v] == 0) {
+      if (v == tree.root) {
+        root_sum = partial[v];
+      } else {
+        ctx.send(tree.parent[v], {partial[v]}, bits_per_value);
+      }
+      ctx.halt();
+    }
+  }
+
+  const SpanningTree& tree;
+  const std::uint64_t bits_per_value;
+  std::vector<std::uint64_t> partial;
+  std::vector<std::uint64_t> pending;  // children yet to report
+  std::uint64_t root_sum = 0;
+};
+
+}  // namespace
+
 ConvergecastResult convergecast_sum(Network& net, const SpanningTree& tree,
                                     const std::vector<std::uint64_t>& values,
                                     std::uint64_t bits_per_value, Rng& rng) {
@@ -54,32 +83,19 @@ ConvergecastResult convergecast_sum(Network& net, const SpanningTree& tree,
           "convergecast_sum: tree/network size mismatch");
 
   // Per-node state captured by the behaviors; the simulation is one-shot.
-  std::vector<std::uint64_t> partial(values);
-  std::vector<std::uint64_t> pending(net.num_nodes(), 0);
+  TreeSum sum{tree, bits_per_value, values,
+              std::vector<std::uint64_t>(net.num_nodes(), 0)};
   for (NodeId v = 0; v < net.num_nodes(); ++v) {
-    if (v != tree.root) ++pending[tree.parent[v]];
+    if (v != tree.root) ++sum.pending[tree.parent[v]];
   }
-  std::uint64_t root_sum = 0;
-
+  TreeSum* const state = &sum;
   for (NodeId v = 0; v < net.num_nodes(); ++v) {
-    net.set_behavior(v, [&, v](RoundContext& ctx) {
-      for (const auto& m : ctx.inbox()) {
-        partial[v] += m.payload.at(0);
-        --pending[v];
-      }
-      if (pending[v] == 0) {
-        if (v == tree.root) {
-          root_sum = partial[v];
-        } else {
-          ctx.send(tree.parent[v], {partial[v]}, bits_per_value);
-        }
-        ctx.halt();
-      }
-    });
+    net.set_behavior(v,
+                     [state, v](RoundContext& ctx) { state->step(v, ctx); });
   }
   ConvergecastResult result;
   result.stats = net.run(rng, tree.height + 2);
-  result.root_sum = root_sum;
+  result.root_sum = sum.root_sum;
   return result;
 }
 

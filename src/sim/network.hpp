@@ -16,7 +16,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <initializer_list>
+#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,23 +39,46 @@ struct NetMessage {
   std::uint64_t bit_size = 0;
 };
 
-/// Everything a node can see and do during one round.
+/// Everything a node can see and do during one round. The inbox, the
+/// outbox and the pool of spare payload buffers belong to the run; a
+/// context borrows them for one node's round.
 class RoundContext {
  public:
-  RoundContext(NodeId id, unsigned round, std::vector<NetMessage> inbox,
-               Rng& rng)
-      : id_(id), round_(round), inbox_(std::move(inbox)), rng_(&rng) {}
+  using Payload = std::vector<std::uint64_t>;
+
+  /// `rng_word` is the run-RNG word drawn for this node this round; the
+  /// node's RNG, make_rng(rng_word, id, round), is derived on first use.
+  RoundContext(NodeId id, unsigned round, const std::vector<NetMessage>& inbox,
+               std::vector<NetMessage>& outbox, std::vector<Payload>& spares,
+               std::uint64_t rng_word)
+      : id_(id),
+        round_(round),
+        inbox_(&inbox),
+        outbox_(&outbox),
+        spares_(&spares),
+        rng_word_(rng_word) {}
 
   [[nodiscard]] NodeId id() const noexcept { return id_; }
   [[nodiscard]] unsigned round() const noexcept { return round_; }
   [[nodiscard]] const std::vector<NetMessage>& inbox() const noexcept {
-    return inbox_;
+    return *inbox_;
   }
-  [[nodiscard]] Rng& rng() noexcept { return *rng_; }
+  [[nodiscard]] Rng& rng() noexcept {
+    if (!rng_) rng_.emplace(make_rng(rng_word_, id_, round_));
+    return *rng_;
+  }
 
-  /// Queue a message for delivery at the start of the next round.
-  void send(NodeId to, std::vector<std::uint64_t> payload,
+  /// Queue a message for delivery at the start of the next round. The
+  /// words are copied into a payload buffer recycled from messages the run
+  /// has already consumed, so a run that has warmed up sends without
+  /// allocating.
+  void send(NodeId to, std::span<const std::uint64_t> payload,
             std::uint64_t bit_size);
+  void send(NodeId to, std::initializer_list<std::uint64_t> payload,
+            std::uint64_t bit_size) {
+    send(to, std::span<const std::uint64_t>(payload.begin(), payload.size()),
+         bit_size);
+  }
 
   /// Mark this node as finished; the simulation stops when all nodes halt.
   void halt() noexcept { halted_ = true; }
@@ -61,18 +86,16 @@ class RoundContext {
 
   /// Mutable view of the queued outgoing messages. Byzantine behaviour
   /// wrappers use this to tamper with an honest node's output.
-  [[nodiscard]] std::vector<NetMessage>& outbox() noexcept { return outbox_; }
-
-  [[nodiscard]] std::vector<NetMessage> take_outbox() noexcept {
-    return std::move(outbox_);
-  }
+  [[nodiscard]] std::vector<NetMessage>& outbox() noexcept { return *outbox_; }
 
  private:
   NodeId id_;
   unsigned round_;
-  std::vector<NetMessage> inbox_;
-  std::vector<NetMessage> outbox_;
-  Rng* rng_;
+  const std::vector<NetMessage>* inbox_;
+  std::vector<NetMessage>* outbox_;
+  std::vector<Payload>* spares_;
+  std::uint64_t rng_word_;
+  std::optional<Rng> rng_;
   bool halted_ = false;
 };
 
@@ -172,9 +195,7 @@ class Network {
   void add_star(NodeId center);
   void add_complete();
 
-  [[nodiscard]] std::uint32_t num_nodes() const noexcept {
-    return static_cast<std::uint32_t>(adjacency_.size());
-  }
+  [[nodiscard]] std::uint32_t num_nodes() const noexcept { return k_; }
   [[nodiscard]] bool has_edge(NodeId from, NodeId to) const;
 
   /// All v with an edge node -> v.
@@ -191,20 +212,39 @@ class Network {
   /// halted for termination, and messages delivered to them are counted in
   /// `messages_lost_to_halted`.
   void schedule_crash(NodeId node, unsigned round);
-  void clear_crashes() noexcept { crash_schedule_.clear(); }
+  void clear_crashes() noexcept;
 
   /// Run until every node has halted or `max_rounds` elapse; returns stats.
   /// Throws Error if any node is missing a behavior.
+  ///
+  /// Round-engine contract: each round, every active node (not halted, not
+  /// crashed) in id order gets one run-RNG word, then runs its behaviour,
+  /// then its outbox is routed in send order, each message on a faulty
+  /// link in its burst window drawing one more run-RNG word for its fault
+  /// stream. A node's RNG is derived from its word only if the behaviour
+  /// calls ctx.rng(). The inbox, next-inbox and outbox buffers are reused
+  /// across rounds (and kept per thread across runs), and consumed messages
+  /// hand their payload buffers to later sends, so a round in which no node
+  /// sends allocates nothing.
   NetworkStats run(Rng& rng, unsigned max_rounds = 1000);
 
  private:
-  [[nodiscard]] const LinkFault& fault_of(NodeId from, NodeId to) const;
+  static constexpr std::uint32_t kNoEdge = 0;
+  static constexpr std::uint32_t kDefaultFault = 1;
+  static constexpr unsigned kNoCrash = 0xFFFFFFFFu;
 
-  std::vector<std::vector<std::uint8_t>> adjacency_;  // adjacency_[u][v]
+  [[nodiscard]] const LinkFault& fault_of(std::uint32_t edge) const noexcept {
+    return edge == kDefaultFault ? default_fault_ : link_faults_[edge - 2];
+  }
+
+  std::uint32_t k_;
+  // edges_[from * k + to]: kNoEdge, kDefaultFault, or 2 + the index of the
+  // link's own fault model in link_faults_.
+  std::vector<std::uint32_t> edges_;
   std::vector<NodeBehavior> behaviors_;
   LinkFault default_fault_;
-  std::map<std::pair<NodeId, NodeId>, LinkFault> link_faults_;
-  std::map<NodeId, unsigned> crash_schedule_;
+  std::vector<LinkFault> link_faults_;
+  std::vector<unsigned> crash_round_;  // kNoCrash when none is scheduled
 };
 
 }  // namespace duti

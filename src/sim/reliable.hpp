@@ -11,7 +11,8 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
+#include <initializer_list>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -79,19 +80,30 @@ class ReliableEndpoint {
   /// Queue `payload` for reliable delivery to `to`; transmitted on the next
   /// flush(). `bit_size` is the app payload width; the frame is charged
   /// `bit_size + header_bits()` on the wire. Returns the sequence number.
-  std::uint64_t send(NodeId to, std::vector<std::uint64_t> payload,
+  std::uint64_t send(NodeId to, std::span<const std::uint64_t> payload,
                      std::uint64_t bit_size);
+  std::uint64_t send(NodeId to, std::initializer_list<std::uint64_t> payload,
+                     std::uint64_t bit_size) {
+    return send(to,
+                std::span<const std::uint64_t>(payload.begin(), payload.size()),
+                bit_size);
+  }
 
   /// Process this round's inbox: deliver new DATA (deduplicated), ACK every
-  /// DATA frame, settle pending sends on ACK receipt.
-  [[nodiscard]] std::vector<ReliableDelivery> receive(RoundContext& ctx);
+  /// DATA frame, settle pending sends on ACK receipt. The deliveries live
+  /// in the endpoint and stay valid until the next receive().
+  [[nodiscard]] std::span<const ReliableDelivery> receive(RoundContext& ctx);
 
   /// Transmit queued frames and due retransmissions; sends that exhausted
   /// their retries move to the failure list.
   void flush(RoundContext& ctx);
 
   /// True when nothing is awaiting an ACK or a first transmission.
-  [[nodiscard]] bool idle() const noexcept { return pending_.empty(); }
+  [[nodiscard]] bool idle() const noexcept { return live_ == 0; }
+
+  /// Return to the freshly constructed state under `cfg`, keeping the
+  /// capacity of the endpoint's buffers for its next use.
+  void reset(const ReliableConfig& cfg);
 
   /// Drain sends that exhausted their retries since the last call.
   [[nodiscard]] std::vector<FailedSend> take_failures();
@@ -103,17 +115,26 @@ class ReliableEndpoint {
   struct Pending {
     NodeId to = 0;
     std::uint64_t seq = 0;
-    std::vector<std::uint64_t> payload;  // app words
-    std::uint64_t bit_size = 0;          // app bits
-    unsigned attempts = 0;               // transmissions so far
+    std::vector<std::uint64_t> frame;  // DATA header, then the app words
+    std::uint64_t bit_size = 0;        // app bits
+    unsigned attempts = 0;             // transmissions so far
     unsigned next_attempt_round = 0;
   };
 
+  void settle(std::size_t i);  // retire pending_[i], keeping its buffer
+
   ReliableConfig cfg_;
   std::uint64_t next_seq_ = 1;
+  // pending_[0, live_) await an ACK or a first transmission, in send
+  // order; later slots are retired and keep their frame buffers for reuse.
   std::vector<Pending> pending_;
+  std::size_t live_ = 0;
   std::vector<FailedSend> failures_;
-  std::set<std::pair<NodeId, std::uint64_t>> seen_;  // dedup (from, seq)
+  // receive()'s deliveries; slots past the current count keep their
+  // payload buffers for the next round.
+  std::vector<ReliableDelivery> deliveries_;
+  // Dedup of received (from, seq) pairs, kept sorted.
+  std::vector<std::pair<NodeId, std::uint64_t>> seen_;
   ReliableStats stats_;
 };
 

@@ -248,6 +248,28 @@ TEST(ChaosCampaign, CleanAndBitIdenticalAcrossPoolWidths) {
             0u);
 }
 
+TEST(ChaosCampaign, ShortCampaignFingerprintIsPinned) {
+  // The chaos_smoke campaign (e14_chaos --seeds=64 --quick) drives the
+  // whole network/reliable stack through 190 fault components. Its
+  // fingerprint and outcome counts were recorded before the round engine
+  // was rewritten; any drift in draw order, halting or accounting moves
+  // them, at any pool width.
+  CampaignConfig cfg;
+  cfg.seed0 = 1;
+  cfg.num_seeds = 64;
+  for (const unsigned width : {1u, 3u}) {
+    ThreadPool pool(width);
+    const CampaignSummary s = run_campaign(cfg, pool);
+    EXPECT_TRUE(s.clean()) << "width " << width;
+    EXPECT_EQ(s.fingerprint, 0xe620ea54c5debf8eULL) << "width " << width;
+    EXPECT_EQ(s.total_components, 190u) << "width " << width;
+    EXPECT_EQ(s.outcome_counts[0], 40u) << "width " << width;  // accept
+    EXPECT_EQ(s.outcome_counts[1], 19u) << "width " << width;  // reject
+    EXPECT_EQ(s.outcome_counts[2], 5u) << "width " << width;   // abort_quorum
+    EXPECT_EQ(s.outcome_counts[3], 0u) << "width " << width;  // abort_timeout
+  }
+}
+
 TEST(ChaosCampaign, BuggyTransportFailsSomeSeedAndReportsTokens) {
   // A short sweep with the injected bug must flag at least one seed, and
   // every failure carries a parseable replay token plus a shrunk token no

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "util/error.hpp"
+#include "util/fnv.hpp"
 
 namespace duti {
 namespace {
@@ -461,6 +468,156 @@ TEST(Network, PerNodeRngIsDeterministic) {
   };
   EXPECT_EQ(run_once(11), run_once(11));
   EXPECT_NE(run_once(11), run_once(12));
+}
+
+// ------------------------------------------------------------- golden --
+// Single runs under each fault kind, pinned to values recorded from the
+// simulator before its round loop recycled its buffers and derived node
+// RNGs lazily. Each run pins every NetworkStats counter, a digest of every
+// message a node read, and the run RNG's next word after run(), so a
+// change to draw order, halting or accounting fails here even where the
+// aggregate checks above still pass.
+
+constexpr std::size_t kGoldenFields = 12;
+using GoldenRecord = std::array<std::uint64_t, kGoldenFields>;
+constexpr const char* kGoldenNames[kGoldenFields] = {
+    "rounds_executed",         "messages_sent",
+    "bits_sent",               "messages_delivered",
+    "messages_dropped",        "messages_corrupted",
+    "messages_delayed",        "messages_lost_to_outage",
+    "messages_lost_to_halted", "nodes_crashed",
+    "inbox_digest",            "rng_after"};
+
+// Six nodes on a complete graph. Node v runs 5 + v rounds; each round it
+// folds its inbox into the digest and sends one three-word message to a
+// rotating peer, declared wider than two words so corruption can reach
+// every word. Every third round the payload carries a draw from the node's
+// RNG; the other rounds never call ctx.rng(). `configure` sets faults and
+// may wrap behaviours before they are installed.
+GoldenRecord run_chatter(
+    std::uint64_t seed,
+    const std::function<void(Network&, std::vector<NodeBehavior>&)>&
+        configure) {
+  constexpr NodeId kNodes = 6;
+  Network net(kNodes);
+  net.add_complete();
+  Fnv64 digest;
+  std::vector<NodeBehavior> behaviors;
+  for (NodeId v = 0; v < kNodes; ++v) {
+    behaviors.emplace_back([&digest, v](RoundContext& ctx) {
+      for (const auto& m : ctx.inbox()) {
+        digest.u64(ctx.round()).u64(ctx.id()).u64(m.from).u64(m.to);
+        digest.u64(m.bit_size).u64(m.payload.size());
+        for (const std::uint64_t w : m.payload) digest.u64(w);
+      }
+      const unsigned r = ctx.round();
+      const std::uint64_t word =
+          r % 3 == 0 ? ctx.rng()() : 1000ULL * v + r;
+      const NodeId to = (v + 1 + r % (kNodes - 1)) % kNodes;
+      ctx.send(to, {v, r, word}, 129 + (v + r) % 64);
+      if (r + 1 >= 5 + v) ctx.halt();
+    });
+  }
+  configure(net, behaviors);
+  for (NodeId v = 0; v < kNodes; ++v) net.set_behavior(v, behaviors[v]);
+  Rng rng(seed);
+  const NetworkStats s = net.run(rng, 40);
+  return {s.rounds_executed,         s.messages_sent,
+          s.bits_sent,               s.messages_delivered,
+          s.messages_dropped,        s.messages_corrupted,
+          s.messages_delayed,        s.messages_lost_to_outage,
+          s.messages_lost_to_halted, s.nodes_crashed,
+          digest.value(),            rng()};
+}
+
+struct GoldenScenario {
+  const char* name;
+  std::function<void(Network&, std::vector<NodeBehavior>&)> configure;
+};
+
+std::vector<GoldenScenario> golden_scenarios() {
+  return {
+      {"clean", [](Network&, std::vector<NodeBehavior>&) {}},
+      {"corruption",
+       [](Network& net, std::vector<NodeBehavior>&) {
+         LinkFault f;
+         f.corrupt_prob = 0.35;
+         net.set_default_fault(f);
+       }},
+      {"delay",
+       [](Network& net, std::vector<NodeBehavior>&) {
+         LinkFault f;
+         f.drop_prob = 0.1;
+         f.delay_prob = 0.4;
+         f.delay_rounds = 2;
+         net.set_default_fault(f);
+       }},
+      {"outage_burst",
+       [](Network& net, std::vector<NodeBehavior>&) {
+         LinkFault burst;
+         burst.drop_prob = 0.3;
+         burst.corrupt_prob = 0.2;
+         burst.burst_lo = 2;
+         burst.burst_hi = 5;
+         net.set_default_fault(burst);
+         LinkFault dark;
+         dark.outage_lo = 1;
+         dark.outage_hi = 4;
+         net.set_link_fault(0, 1, dark);
+         dark.outage_lo = 0;
+         dark.outage_hi = 100;
+         net.set_link_fault(2, 3, dark);
+       }},
+      {"crash",
+       [](Network& net, std::vector<NodeBehavior>&) {
+         net.set_default_fault({0.2, 0.0});
+         net.schedule_crash(2, 3);
+         net.schedule_crash(4, 0);
+         net.schedule_crash(5, 20);
+       }},
+      {"byzantine",
+       [](Network& net, std::vector<NodeBehavior>& b) {
+         net.set_default_fault({0.0, 0.1});
+         b[1] = make_byzantine(b[1], ByzantineMode::kRandomBit);
+         b[3] = make_byzantine(b[3], ByzantineMode::kAdversarialFlip);
+         b[4] = make_byzantine(b[4], ByzantineMode::kStuckAtOne);
+         b[5] = make_byzantine(b[5], ByzantineMode::kStuckAtZero);
+       }},
+  };
+}
+
+constexpr GoldenRecord kGoldenChatter[] = {
+    // clean
+    {10, 45, 6090, 35, 0, 0, 0, 0, 10, 0, 0xe96653b8dc03827fULL,
+     0x013549006de5f23dULL},
+    // corruption
+    {10, 45, 6090, 35, 0, 18, 0, 0, 10, 0, 0x17efe5903886f8e4ULL,
+     0x42c2589eed9f71f2ULL},
+    // delay
+    {10, 45, 6090, 28, 6, 0, 15, 0, 11, 0, 0xbd20ba18a53f3692ULL,
+     0xe576228581afafbfULL},
+    // outage_burst
+    {10, 45, 6090, 30, 4, 2, 0, 2, 9, 0, 0xb7d34e275aaf4d2cULL,
+     0x32b3122cc4758b89ULL},
+    // crash
+    {10, 32, 4315, 10, 7, 0, 0, 0, 15, 2, 0xc7b2ac8fad01473eULL,
+     0x50d3550ed09a62b7ULL},
+    // byzantine
+    {10, 45, 6090, 35, 0, 1, 0, 0, 10, 0, 0x54d48c51e676a930ULL,
+     0x1c280ae5d3a6a6d9ULL},
+};
+
+TEST(NetworkGolden, SingleRunsUnderEachFaultKindMatchRecordedValues) {
+  const auto scenarios = golden_scenarios();
+  ASSERT_EQ(scenarios.size(), std::size(kGoldenChatter));
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const GoldenRecord got =
+        run_chatter(0xC0FFEE00ULL + i, scenarios[i].configure);
+    for (std::size_t f = 0; f < kGoldenFields; ++f) {
+      EXPECT_EQ(got[f], kGoldenChatter[i][f])
+          << scenarios[i].name << "." << kGoldenNames[f];
+    }
+  }
 }
 
 }  // namespace

@@ -221,7 +221,7 @@ TEST_P(SimdLevelParam, AsymmetricTesterMatchesLegacyProtocol) {
     Rng rng_b(derive_seed(66, t));
     proto.collect(*src, rng_a, legacy_msgs);
     std::uint64_t rejects = 0;
-    for (const auto& m : legacy_msgs) rejects += m.as_bit() ? 0 : 1;
+    for (const auto& m : legacy_msgs) rejects += m.as_bit() ? 0U : 1U;
     const bool legacy_accept =
         static_cast<double>(rejects) < tester.referee_threshold();
     EXPECT_EQ(tester.run(*src, rng_b), legacy_accept) << "trial " << t;
@@ -231,8 +231,8 @@ TEST_P(SimdLevelParam, AsymmetricTesterMatchesLegacyProtocol) {
 INSTANTIATE_TEST_SUITE_P(Levels, SimdLevelParam,
                          ::testing::Values(SimdLevel::kScalar,
                                            simd_supported_level()),
-                         [](const auto& info) {
-                           return info.index == 0 ? "off" : "auto";
+                         [](const auto& param_info) {
+                           return param_info.index == 0 ? "off" : "auto";
                          });
 
 TEST(ProtocolBatch, ProbeTalliesIdenticalAcrossThreadPools) {

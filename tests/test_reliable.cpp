@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
 #include <numeric>
+#include <string>
+
+#include "util/fnv.hpp"
 
 namespace duti {
 namespace {
@@ -259,6 +264,176 @@ TEST(ReliableConvergecast, HonestOverheadAccounting) {
   EXPECT_EQ(reliable.transport.payload_bits +
                 reliable.transport.overhead_bits,
             reliable.stats.bits_sent);
+}
+
+// ------------------------------------------------------------- golden --
+// Reliable and naive convergecasts pinned to values recorded before the
+// round engine and the transport's bookkeeping were rewritten. Each row is
+// one topology and fault setting: the whole ReliableConvergecastResult and
+// the naive convergecast's sum and NetworkStats at one seed, plus a digest
+// of the same fields over 16 further seeds.
+
+constexpr std::size_t kRunFields = 34;
+constexpr std::size_t kRowFields = kRunFields + 1;
+using GoldenRow = std::array<std::uint64_t, kRowFields>;
+
+std::array<std::uint64_t, kRunFields> run_fields(
+    std::uint32_t k, const std::function<void(Network&)>& build,
+    std::uint64_t seed) {
+  std::vector<std::uint64_t> values(k);
+  std::iota(values.begin(), values.end(), 1);
+  Network net(k);
+  build(net);
+  const auto tree = bfs_spanning_tree(net, 0);
+  Rng rng(seed);
+  const ReliableConvergecastResult r =
+      convergecast_sum_reliable(net, tree, values, 16, rng);
+  Network naive_net(k);
+  build(naive_net);
+  Rng naive_rng(seed);
+  const ConvergecastResult n =
+      convergecast_sum(naive_net, tree, values, 16, naive_rng);
+  const ReliableStats& t = r.transport;
+  const NetworkStats& a = r.stats;
+  const NetworkStats& b = n.stats;
+  return {r.root_sum, r.values_reached, r.values_total, r.values_lost,
+          r.reparent_events, t.data_sent, t.retransmissions, t.acks_sent,
+          t.duplicates, t.delivered, t.failed, t.payload_bits,
+          t.overhead_bits, a.rounds_executed, a.messages_sent, a.bits_sent,
+          a.messages_delivered, a.messages_dropped, a.messages_corrupted,
+          a.messages_delayed, a.messages_lost_to_outage,
+          a.messages_lost_to_halted, a.nodes_crashed, n.root_sum,
+          b.rounds_executed, b.messages_sent, b.bits_sent,
+          b.messages_delivered, b.messages_dropped, b.messages_corrupted,
+          b.messages_delayed, b.messages_lost_to_outage,
+          b.messages_lost_to_halted, b.nodes_crashed};
+}
+
+struct GoldenCell {
+  std::string name;
+  std::uint32_t k;
+  std::function<void(Network&)> build;  // topology and faults
+};
+
+std::vector<GoldenCell> golden_cells() {
+  struct Topo {
+    const char* name;
+    std::uint32_t k;
+    void (*build)(Network&);
+  };
+  const Topo topos[] = {
+      {"path8", 8, [](Network& n) { add_path(n); }},
+      {"grid4x4", 16, [](Network& n) { add_grid(n, 4, 4); }},
+      {"btree15", 15, [](Network& n) { add_binary_tree(n); }},
+      {"star9", 9, [](Network& n) { n.add_star(0); }},
+  };
+  std::vector<GoldenCell> cells;
+  for (const Topo& topo : topos) {
+    for (const auto& [drop, label] : {std::pair{0.0, "0"},
+                                      std::pair{0.1, "0.1"},
+                                      std::pair{0.3, "0.3"}}) {
+      cells.push_back({std::string(topo.name) + "/drop=" + label, topo.k,
+                       [topo, drop = drop](Network& n) {
+                         topo.build(n);
+                         n.set_default_fault({drop, 0.0});
+                       }});
+    }
+  }
+  cells.push_back({"grid3x4/stacked", 12, [](Network& n) {
+                     add_grid(n, 3, 4);
+                     LinkFault noisy;
+                     noisy.corrupt_prob = 0.3;
+                     noisy.drop_prob = 0.2;
+                     noisy.delay_prob = 0.25;
+                     noisy.delay_rounds = 2;
+                     n.set_link_fault(1, 0, noisy);
+                     LinkFault dark;
+                     dark.outage_lo = 0;
+                     dark.outage_hi = 6;
+                     n.set_link_fault(4, 0, dark);
+                     n.schedule_crash(7, 2);
+                   }});
+  cells.push_back({"grid4x4/crash+drop", 16, [](Network& n) {
+                     add_grid(n, 4, 4);
+                     n.set_default_fault({0.1, 0.0});
+                     n.schedule_crash(1, 0);
+                     n.schedule_crash(10, 5);
+                   }});
+  return cells;
+}
+
+GoldenRow golden_row(const GoldenCell& cell, std::uint64_t seed) {
+  GoldenRow row{};
+  const auto first = run_fields(cell.k, cell.build, seed);
+  std::copy(first.begin(), first.end(), row.begin());
+  Fnv64 digest;
+  for (std::uint64_t s = 1; s <= 16; ++s) {
+    for (const std::uint64_t f : run_fields(cell.k, cell.build, seed + s)) {
+      digest.u64(f);
+    }
+  }
+  row[kRunFields] = digest.value();
+  return row;
+}
+
+constexpr GoldenRow kGoldenRows[] = {
+    // path8/drop=0
+    {36, 8, 8, 0, 0, 7, 0, 7, 0, 7, 0, 140, 252, 10, 14, 392, 14, 0, 0, 0, 0,
+     0, 0, 36, 8, 7, 112, 7, 0, 0, 0, 0, 0, 0, 0x696178054af92545ULL},
+    // path8/drop=0.1
+    {36, 8, 8, 0, 0, 7, 3, 9, 2, 7, 0, 140, 402, 12, 19, 542, 16, 3, 0, 0, 0,
+     0, 0, 36, 8, 7, 112, 7, 0, 0, 0, 0, 0, 0, 0xd66948b6d728b22dULL},
+    // path8/drop=0.3
+    {36, 8, 8, 0, 0, 7, 7, 11, 4, 7, 0, 140, 590, 40, 25, 730, 18, 7, 0, 0, 0,
+     0, 0, 0, 9, 3, 48, 2, 1, 0, 0, 0, 0, 0, 0x82031cc42188d8ebULL},
+    // grid4x4/drop=0
+    {136, 16, 16, 0, 0, 15, 0, 15, 0, 15, 0, 315, 540, 9, 30, 855, 30, 0, 0,
+     0, 0, 0, 0, 136, 7, 15, 240, 15, 0, 0, 0, 0, 0, 0,
+     0x324e69cbb4a49de5ULL},
+    // grid4x4/drop=0.1
+    {136, 16, 16, 0, 0, 15, 5, 19, 4, 15, 0, 315, 807, 11, 39, 1122, 34, 5, 0,
+     0, 0, 0, 0, 0, 8, 12, 192, 11, 1, 0, 0, 0, 0, 0, 0x966e0265cde13ae7ULL},
+    // grid4x4/drop=0.3
+    {136, 16, 16, 0, 0, 15, 14, 21, 6, 15, 0, 315, 1194, 36, 50, 1509, 36, 14,
+     0, 0, 0, 0, 0, 0, 8, 9, 144, 6, 3, 0, 0, 0, 0, 0, 0xc8c1e8c50528ed07ULL},
+    // btree15/drop=0
+    {120, 15, 15, 0, 0, 14, 0, 14, 0, 14, 0, 280, 504, 6, 28, 784, 28, 0, 0,
+     0, 0, 0, 0, 120, 4, 14, 224, 14, 0, 0, 0, 0, 0, 0,
+     0x249febe862acf9a5ULL},
+    // btree15/drop=0.1
+    {120, 15, 15, 0, 0, 14, 2, 14, 0, 14, 0, 280, 580, 10, 30, 860, 28, 2, 0,
+     0, 0, 0, 0, 0, 5, 12, 192, 9, 3, 0, 0, 0, 0, 0, 0x5da665e483164495ULL},
+    // btree15/drop=0.3
+    {120, 15, 15, 0, 0, 14, 6, 14, 0, 14, 0, 280, 732, 14, 34, 1012, 28, 6, 0,
+     0, 0, 0, 0, 0, 5, 11, 176, 9, 2, 0, 0, 0, 0, 0, 0xcd26155785b190d6ULL},
+    // star9/drop=0
+    {45, 9, 9, 0, 0, 8, 0, 8, 0, 8, 0, 160, 288, 4, 16, 448, 16, 0, 0, 0, 0,
+     0, 0, 45, 2, 8, 128, 8, 0, 0, 0, 0, 0, 0, 0x7db7038ad03f78e5ULL},
+    // star9/drop=0.1
+    {45, 9, 9, 0, 0, 8, 1, 8, 0, 8, 0, 160, 326, 6, 17, 486, 16, 1, 0, 0, 0,
+     0, 0, 0, 3, 8, 128, 7, 1, 0, 0, 0, 0, 0, 0x301a215dc4c1cd53ULL},
+    // star9/drop=0.3
+    {45, 9, 9, 0, 0, 8, 8, 12, 4, 8, 0, 160, 664, 10, 28, 824, 20, 8, 0, 0, 0,
+     0, 0, 0, 3, 8, 128, 5, 3, 0, 0, 0, 0, 0, 0xf1c2897ed6eb69b3ULL},
+    // grid3x4/stacked
+    {141, 21, 12, 0, 0, 11, 4, 12, 0, 12, 0, 220, 566, 595, 27, 786, 23, 1, 1,
+     0, 2, 1, 1, 0, 7, 11, 176, 10, 0, 0, 0, 1, 0, 1, 0xcd500f8a4d1579fcULL},
+    // grid4x4/crash+drop
+    {58, 7, 16, 8, 1, 16, 10, 14, 0, 14, 2, 336, 930, 661, 40, 1266, 28, 4, 0,
+     0, 0, 8, 2, 0, 8, 13, 208, 10, 1, 0, 0, 0, 2, 2, 0x893442e117b55d89ULL},
+};
+
+TEST(ReliableGolden, ConvergecastsMatchRecordedValues) {
+  const auto cells = golden_cells();
+  ASSERT_EQ(cells.size(), std::size(kGoldenRows));
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const GoldenRow got = golden_row(cells[i], 0x5EED00ULL + 100 * i);
+    for (std::size_t f = 0; f < kRowFields; ++f) {
+      EXPECT_EQ(got[f], kGoldenRows[i][f])
+          << cells[i].name << " field " << f << " (run_fields order; the "
+          << "last is the digest)";
+    }
+  }
 }
 
 }  // namespace
