@@ -29,6 +29,42 @@ void BM_AliasSampler(benchmark::State& state) {
 }
 BENCHMARK(BM_AliasSampler)->Arg(1 << 8)->Arg(1 << 14)->Arg(1 << 20);
 
+/// Batched draws from a Paninski table. Half its acceptance probabilities
+/// sit strictly inside (0, 1), so the keep-or-alias choice is a fair coin
+/// per draw.
+void BM_AliasSampleMany(benchmark::State& state) {
+  Rng rng(8);
+  const auto dist = gen::paninski(4096, 0.5, rng);
+  const AliasSampler sampler(dist.pmf_vector());
+  std::vector<std::uint64_t> buf;
+  for (auto _ : state) {
+    sampler.sample_many(rng, 64, buf);
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_AliasSampleMany)->Repetitions(5)->ReportAggregatesOnly(true);
+
+/// A fresh far source as every q* probe builds one per trial: the Paninski
+/// factory (signs, pmf, DiscreteDistribution) plus the first draw, which
+/// builds the lazy alias table.
+void BM_PaninskiFarSource(benchmark::State& state) {
+  Rng rng(9);
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  const SourceSpec far = workloads::paninski_far_factory(n, 0.5);
+  for (auto _ : state) {
+    const auto source = far(rng);
+    benchmark::DoNotOptimize(source->sample(rng));
+  }
+}
+BENCHMARK(BM_PaninskiFarSource)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true);
+
 /// D2 ablation: inverse-CDF sampling via binary search on the cumulative
 /// weights — O(log n) per draw where alias is O(1).
 void BM_InverseCdfSampler(benchmark::State& state) {

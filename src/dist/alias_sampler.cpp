@@ -1,6 +1,6 @@
 #include "dist/alias_sampler.hpp"
 
-#include <numeric>
+#include <limits>
 
 #include "util/error.hpp"
 
@@ -8,6 +8,9 @@ namespace duti {
 
 AliasSampler::AliasSampler(const std::vector<double>& weights) {
   require(!weights.empty(), "AliasSampler: empty weight vector");
+  if (weights.size() - 1 > std::numeric_limits<std::uint32_t>::max()) {
+    throw CapacityError("AliasSampler: more than 2^32 weights");
+  }
   double total = 0.0;
   for (double w : weights) {
     require(w >= 0.0, "AliasSampler: negative weight");
@@ -15,43 +18,60 @@ AliasSampler::AliasSampler(const std::vector<double>& weights) {
   }
   require(total > 0.0, "AliasSampler: all weights are zero");
 
+  // Scaled probabilities: mean 1. A paired small bucket leaves both stacks
+  // for good, so its scaled weight is final and is its acceptance
+  // probability; prob_ holds the scaled weights throughout.
   const std::size_t n = weights.size();
-  prob_.assign(n, 0.0);
-  alias_.assign(n, 0);
-
-  // Scaled probabilities: mean 1. Partition into "small" (< 1) and "large".
-  std::vector<double> scaled(n);
   const double scale = static_cast<double>(n) / total;
-  for (std::size_t i = 0; i < n; ++i) scaled[i] = weights[i] * scale;
-
-  std::vector<std::uint64_t> small, large;
-  small.reserve(n);
-  large.reserve(n);
+  prob_.resize(n);
+  alias_.resize(n);
+  std::size_t small_count = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    (scaled[i] < 1.0 ? small : large).push_back(i);
+    prob_[i] = weights[i] * scale;
+    small_count += static_cast<std::size_t>(prob_[i] < 1.0);
   }
 
-  // Vose pairing: each small bucket is topped up by one large bucket.
-  while (!small.empty() && !large.empty()) {
-    const std::uint64_t s = small.back();
-    small.pop_back();
-    const std::uint64_t l = large.back();
-    prob_[s] = scaled[s];
+  // Partition into "small" (< 1) and "large", each in index order, without
+  // a branch on the weight: on a random two-valued arrangement (Paninski's
+  // family) that branch is a coin flip. Each index is written to the next
+  // slot of both stacks and only one of them advances, hence the spare
+  // slots. The small stack never outgrows its start: each pairing step pops
+  // before it pushes.
+  std::vector<std::uint32_t> small(small_count + 1);
+  std::vector<std::uint32_t> large(n - small_count + 1);
+  std::size_t small_top = 0;
+  std::size_t large_top = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool is_small = prob_[i] < 1.0;
+    small[small_top] = static_cast<std::uint32_t>(i);
+    large[large_top] = static_cast<std::uint32_t>(i);
+    small_top += static_cast<std::size_t>(is_small);
+    large_top += static_cast<std::size_t>(!is_small);
+  }
+
+  // Vose pairing: each small bucket is topped up by one large bucket. The
+  // branch below reads only weight values. On two-valued weights each stack
+  // starts out holding one value, so the values it meets, and hence its
+  // pattern, are those of the sorted weights whatever the arrangement, and
+  // it predicts well.
+  while (small_top > 0 && large_top > 0) {
+    const std::uint32_t s = small[--small_top];
+    const std::uint32_t l = large[large_top - 1];
     alias_[s] = l;
-    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-    if (scaled[l] < 1.0) {
-      large.pop_back();
-      small.push_back(l);
+    prob_[l] = (prob_[l] + prob_[s]) - 1.0;
+    if (prob_[l] < 1.0) {
+      --large_top;
+      small[small_top++] = l;
     }
   }
   // Remaining buckets are exactly 1 up to float round-off.
-  for (std::uint64_t l : large) {
-    prob_[l] = 1.0;
-    alias_[l] = l;
+  for (std::size_t k = 0; k < large_top; ++k) {
+    prob_[large[k]] = 1.0;
+    alias_[large[k]] = large[k];
   }
-  for (std::uint64_t s : small) {
-    prob_[s] = 1.0;
-    alias_[s] = s;
+  for (std::size_t k = 0; k < small_top; ++k) {
+    prob_[small[k]] = 1.0;
+    alias_[small[k]] = small[k];
   }
 }
 

@@ -14,13 +14,14 @@ namespace duti {
 class AliasSampler {
  public:
   /// Build from unnormalized non-negative weights. Throws InvalidArgument on
-  /// empty input, negative weights, or an all-zero weight vector.
+  /// empty input, negative weights, or an all-zero weight vector, and
+  /// CapacityError on more than 2^32 weights.
   explicit AliasSampler(const std::vector<double>& weights);
 
   /// Draw one index in [0, size()) with probability proportional to weight.
   [[nodiscard]] std::uint64_t sample(Rng& rng) const noexcept {
     const std::uint64_t i = rng.next_below(prob_.size());
-    return rng.next_double() < prob_[i] ? i : alias_[i];
+    return select(rng.next_double() < prob_[i], i, alias_[i]);
   }
 
   /// Batched draws: fill `out` with `count` iid samples. Consumes the RNG
@@ -30,11 +31,11 @@ class AliasSampler {
                    std::vector<std::uint64_t>& out) const {
     out.resize(count);
     const double* prob = prob_.data();
-    const std::uint64_t* alias = alias_.data();
+    const std::uint32_t* alias = alias_.data();
     const std::size_t n = prob_.size();
     for (auto& s : out) {
       const std::uint64_t i = rng.next_below(n);
-      s = rng.next_double() < prob[i] ? i : alias[i];
+      s = select(rng.next_double() < prob[i], i, alias[i]);
     }
   }
 
@@ -45,9 +46,27 @@ class AliasSampler {
     return prob_;
   }
 
+  /// The alias table (exposed for tests).
+  [[nodiscard]] const std::vector<std::uint32_t>& alias_table() const noexcept {
+    return alias_;
+  }
+
  private:
+  /// `cond ? a : b` through a mask, without a branch. A draw keeps its
+  /// bucket or takes the alias; on tables whose acceptance probabilities
+  /// sit inside (0, 1), such as Paninski's, that is a fair coin per draw,
+  /// and a branch on it mispredicts half the time. A deliberate trade: on
+  /// a table far larger than cache whose choice is lopsided, a branch
+  /// would be mostly predicted, and the mask may cost a few ns per draw
+  /// there (DESIGN.md D2; `BM_AliasSampler/1048576`).
+  static std::uint64_t select(bool cond, std::uint64_t a,
+                              std::uint64_t b) noexcept {
+    const std::uint64_t mask = 0 - static_cast<std::uint64_t>(cond);
+    return b ^ ((a ^ b) & mask);
+  }
+
   std::vector<double> prob_;
-  std::vector<std::uint64_t> alias_;
+  std::vector<std::uint32_t> alias_;  // indices fit: size() <= 2^32
 };
 
 }  // namespace duti

@@ -17,10 +17,14 @@ DiscreteDistribution::DiscreteDistribution(std::vector<double> pmf,
     require(p >= 0.0, "DiscreteDistribution: negative probability");
     total += p;
   }
-  require(std::fabs(total - 1.0) <= tol,
-          "DiscreteDistribution: pmf sums to " + std::to_string(total) +
-              ", not 1");
-  for (double& p : pmf_) p /= total;
+  if (!(std::fabs(total - 1.0) <= tol)) {
+    throw InvalidArgument("DiscreteDistribution: pmf sums to " +
+                          std::to_string(total) + ", not 1");
+  }
+  // x / 1.0 == x exactly, so an exact sum needs no pass.
+  if (total != 1.0) {
+    for (double& p : pmf_) p /= total;
+  }
 }
 
 DiscreteDistribution DiscreteDistribution::uniform(std::size_t n) {

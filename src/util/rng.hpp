@@ -96,8 +96,11 @@ class Xoshiro256pp {
     return static_cast<std::uint64_t>(m >> 64);
   }
 
-  /// Fair coin: ±1 with equal probability.
-  int next_sign() noexcept { return ((*this)() >> 63) ? 1 : -1; }
+  /// Fair coin: ±1 with equal probability (+1 iff the top bit is set),
+  /// computed without a branch.
+  int next_sign() noexcept {
+    return 2 * static_cast<int>((*this)() >> 63) - 1;
+  }
 
   /// Bernoulli(p) draw.
   bool next_bernoulli(double p) noexcept { return next_double() < p; }

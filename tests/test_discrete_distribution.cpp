@@ -17,6 +17,22 @@ TEST(DiscreteDistribution, ValidatesPmf) {
   EXPECT_THROW((void)DiscreteDistribution(std::vector<double>{}), InvalidArgument);
 }
 
+TEST(DiscreteDistribution, SumErrorMessage) {
+  try {
+    const DiscreteDistribution d({0.25, 0.5});
+    ADD_FAILURE() << "no throw";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(),
+                 "DiscreteDistribution: pmf sums to 0.750000, not 1");
+  }
+}
+
+TEST(DiscreteDistribution, ExactSumKeepsPmfBits) {
+  const std::vector<double> pmf{0.375, 0.125, 0.25, 0.25};
+  const DiscreteDistribution d(pmf);
+  EXPECT_EQ(d.pmf_vector(), pmf);
+}
+
 TEST(DiscreteDistribution, RenormalizesWithinTolerance) {
   const DiscreteDistribution d({0.5 + 1e-10, 0.5});
   double total = 0.0;
